@@ -2,13 +2,14 @@
 # Tier-1 verification + the CLI smoke + the pipeline perf smoke, exactly as
 # CI runs them.
 #
-#   ./scripts/ci.sh          # tests + CLI smoke + cache smoke + smoke benchmark + serve gate + fuzz gate
+#   ./scripts/ci.sh          # tests + CLI smoke + cache smoke + smoke benchmark + paper + serve gate + fuzz gate
 #   ./scripts/ci.sh tests    # tier-1 tests only
 #   ./scripts/ci.sh bench    # CLI smoke + parser parity + cache smoke + smoke benchmark
 #   ./scripts/ci.sh parity   # parser-backend parity suite only
 #   ./scripts/ci.sh cache    # persistent cache cross-process smoke only
 #   ./scripts/ci.sh serve-gate  # HTTP serving layer load gate only
 #   ./scripts/ci.sh fuzz-gate   # differential fuzzer cross-backend gate only
+#   ./scripts/ci.sh paper    # paper-figure/table reproductions (benchmarks/bench_*.py) only
 #
 # The CLI smoke drives the `python -m repro` service entry point (a full
 # four-protocol sweep emitting the JSON wire contract) — a packaging check
@@ -34,6 +35,20 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 if [ "${1:-all}" = "parity" ]; then
   echo "== parser-backend parity suite =="
   python -m pytest tests/test_parsing.py -q
+  exit 0
+fi
+
+# The paper reproductions: benchmarks/bench_*.py regenerate figures 5/6,
+# tables 2-11, end-to-end interop and the fuzz matrix, and assert the
+# reproduced results.  pytest's default discovery (test_*.py) never
+# collects them, so tier-1 does not run them; this mode does.
+paper() {
+  echo "== paper reproductions: benchmarks/bench_*.py =="
+  python -m pytest -q benchmarks/bench_*.py --benchmark-disable
+}
+
+if [ "${1:-all}" = "paper" ]; then
+  paper
   exit 0
 fi
 
@@ -208,6 +223,7 @@ if [ "${1:-all}" != "tests" ]; then
 fi
 
 if [ "${1:-all}" = "all" ]; then
+  paper
   serve_gate
   fuzz_gate
 fi

@@ -16,15 +16,19 @@ def ones_complement_sum(data: bytes) -> int:
 
     Odd-length input is padded on the right with a zero byte, per RFC 1071.
     The result is folded so it always fits in 16 bits.
+
+    Since 65536 ≡ 1 (mod 0xFFFF), the big-endian integer value of the
+    message is congruent to the sum of its 16-bit words, so one C-level
+    ``int.from_bytes`` and one remainder replace the word loop.  The
+    end-around-carry sum is 0 only for an all-zero message; any other
+    message whose words sum to a multiple of 0xFFFF folds to 0xFFFF
+    (negative zero), never 0.
     """
+    value = int.from_bytes(data, "big")
     if len(data) % 2:
-        data = data + b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
+        value <<= 8
+    total = value % 0xFFFF
+    return total if total or not value else 0xFFFF
 
 
 def internet_checksum(data: bytes) -> int:

@@ -33,8 +33,12 @@ def first_difference(left, right, path: str = "") -> tuple[str, object, object] 
     Returns ``(path, left_value, right_value)`` — e.g.
     ``("router_tx[3]", "4500...", "4500...")`` — or None when equal.
     Dicts recurse over the union of keys, lists over indices; everything
-    else compares by equality.
+    else compares by equality.  Equal values return at once and only
+    unequal children are recursed into, so two equal traces cost one
+    comparison and a difference costs one call per level of its path.
     """
+    if left == right:
+        return None
     if isinstance(left, dict) and isinstance(right, dict):
         for key in sorted(set(left) | set(right), key=str):
             inner = f"{path}.{key}" if path else str(key)
@@ -42,21 +46,21 @@ def first_difference(left, right, path: str = "") -> tuple[str, object, object] 
                 return (inner, None, right[key])
             if key not in right:
                 return (inner, left[key], None)
-            found = first_difference(left[key], right[key], inner)
-            if found is not None:
-                return found
+            if left[key] != right[key]:
+                found = first_difference(left[key], right[key], inner)
+                if found is not None:
+                    return found
         return None
     if isinstance(left, list) and isinstance(right, list):
         for index, (a, b) in enumerate(zip(left, right)):
-            found = first_difference(a, b, f"{path}[{index}]")
-            if found is not None:
-                return found
+            if a != b:
+                found = first_difference(a, b, f"{path}[{index}]")
+                if found is not None:
+                    return found
         if len(left) != len(right):
             return (f"{path}.length", len(left), len(right))
         return None
-    if left != right:
-        return (path or "<root>", left, right)
-    return None
+    return (path or "<root>", left, right)
 
 
 @dataclass

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+import repro.fuzz.runner as fuzz_runner
 from repro.api.cli import main as cli_main
 from repro.api.errors import RequestError
 from repro.api.service import SageService
@@ -100,6 +101,50 @@ class TestFirstDifference:
 
     def test_scalar_root(self):
         assert first_difference(1, 2) == ("<root>", 1, 2)
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Count first_difference calls, recursive ones included."""
+        calls = []
+        original = fuzz_runner.first_difference
+
+        def counting(*args):
+            calls.append(args[2] if len(args) > 2 else "")
+            return original(*args)
+
+        monkeypatch.setattr(fuzz_runner, "first_difference", counting)
+        return counting, calls
+
+    @staticmethod
+    def trace(rows=40):
+        return {"router_tx": [{"seq": i, "wire": f"{i:04x}", "flags": [i % 2]}
+                              for i in range(rows)],
+                "states": {"a": ["Down", "Init", "Up"], "b": ["Down", "Up"]}}
+
+    def test_equal_traces_cost_one_call(self, monkeypatch):
+        find, calls = self.counted(monkeypatch)
+        assert find(self.trace(), self.trace()) is None
+        assert len(calls) == 1
+
+    def test_deep_difference_in_list_of_dicts(self, monkeypatch):
+        left, right = self.trace(), self.trace()
+        right["router_tx"][27]["flags"][0] = 7
+        find, calls = self.counted(monkeypatch)
+        assert find(left, right) == ("router_tx[27].flags[0]", 1, 7)
+        # One call per level of the path: root, list, row, flags, leaf.
+        assert calls == ["", "router_tx", "router_tx[27]", "router_tx[27].flags",
+                         "router_tx[27].flags[0]"]
+
+    def test_length_mismatch_after_equal_prefix(self):
+        left, right = self.trace(), self.trace()
+        right["router_tx"].append({"seq": 99})
+        assert first_difference(left, right) == ("router_tx.length", 40, 41)
+
+    def test_key_missing_on_either_side(self):
+        left, right = self.trace(), self.trace()
+        del right["states"]["b"]
+        assert first_difference(left, right) == ("states.b", ["Down", "Up"], None)
+        assert first_difference(right, left) == ("states.b", None, ["Down", "Up"])
 
 
 class TestDifferentialRunner:

@@ -112,3 +112,45 @@ class TestHeaderLayout:
         layout = HeaderLayout("v", [LayoutField("version", 4), LayoutField("ihl", 4)])
         struct_text = layout.to_c_struct()
         assert "uint8_t version : 4;" in struct_text
+
+
+class TestCompiledCodec:
+    def test_compiled_once_on_first_use(self):
+        cls = type("Lazy", (Header,), {"FIELDS": (FieldSpec("a", 8),)})
+        assert "_codec_source" not in vars(cls)
+        assert cls(a=1).pack() == b"\x01"
+        source = cls._codec_source
+        assert cls.unpack(b"\x02").a == 2
+        assert cls._codec_source is source
+        assert "    for " not in source  # straight-line: no per-field loop
+
+    def test_subclass_of_compiled_class_uses_its_own_fields(self):
+        TinyHeader(token=1).pack()
+
+        class Wider(TinyHeader):
+            FIELDS = TinyHeader.FIELDS + (FieldSpec("extra", 8),)
+
+        assert Wider(extra=9).pack() == bytes([0x10, 0, 0, 0, 9])
+        assert TinyHeader().pack() == bytes([0x10, 0, 0, 0])
+
+    def test_codec_methods_cannot_be_overridden(self):
+        with pytest.raises(TypeError, match="generated from FIELDS"):
+            class Custom(Header):  # noqa: F841
+                FIELDS = (FieldSpec("a", 8),)
+
+                def pack(self):
+                    return b""
+
+    def test_any_name_but_payload_can_be_a_field(self):
+        names = ("self", "_h", "from", "Group Address", "0_reserved", "type")
+        cls = type("Odd", (Header,), {"FIELDS": tuple(FieldSpec(n, 8) for n in names)})
+        header = cls(payload=b"p", **{name: i for i, name in enumerate(names)})
+        assert header.pack() == bytes(range(len(names))) + b"p"
+        assert cls.unpack(header.pack()) == header
+        assert header.copy() == header
+
+    @pytest.mark.parametrize("names", [("a", "a"), ("payload",)])
+    def test_clashing_field_names_rejected(self, names):
+        cls = type("Clash", (Header,), {"FIELDS": tuple(FieldSpec(n, 8) for n in names)})
+        with pytest.raises(ValueError, match="must be unique"):
+            cls()

@@ -4,6 +4,7 @@ and concurrent multi-process access to one shared persistent store."""
 import asyncio
 import concurrent.futures
 import json
+import os
 import threading
 import time
 from http.client import HTTPConnection
@@ -67,7 +68,7 @@ class ServerHandle:
 @pytest.fixture(scope="module")
 def server():
     """An inline-mode server over the warm shared default registry."""
-    handle = ServerHandle(ReproServer(port=0, deadline_s=120.0)).start()
+    handle = ServerHandle(ReproServer(port=0, workers=1, deadline_s=120.0)).start()
     yield handle
     handle.stop()
 
@@ -294,6 +295,12 @@ class TestPoolUnit:
             )
             assert status == 200
             assert from_json(body.decode("utf-8")).protocol == "ICMP"
+
+    @pytest.mark.parametrize("cpus, mode", [(1, "inline"), (2, "process")])
+    def test_default_pool_follows_cpu_count(self, monkeypatch, cpus, mode):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        with WorkerPool() as pool:
+            assert (pool.mode, pool.workers) == (mode, cpus)
 
     def test_keep_alive_reuses_one_connection(self, server):
         conn = HTTPConnection("127.0.0.1", server.server.port, timeout=60)
