@@ -4,8 +4,8 @@ Measures, with wall-clock timers:
 
 * cold vs cached corpus load (fresh :class:`ProtocolRegistry` parsing RFC
   792 vs the memoized dict hit);
-* cold vs cached ``Sage()`` construction (lexicon/parser/chunker build vs
-  registry reuse);
+* cold vs cached ``SageEngine()`` construction (lexicon/parser/chunker
+  build vs registry reuse);
 * the parser backends head-to-head: every registered backend
   (``reference`` CKY and the category-indexed ``indexed`` forest parser)
   cold-parses all four corpora through an uncached ParseStage — measured
@@ -28,7 +28,7 @@ Measures, with wall-clock timers:
   ("Cold" throughout the sweep section means *parse- and winnow-cache*
   cold; the indexed backend's process-global structural memos were warmed
   by the head-to-head above, which is the production steady state).  The
-  winnow layer rides the same sweeps: the §4.2 check-memo and
+  winnow layer rides the same sweeps: the §4.2 traversal-cache and
   winnow-result-cache counters for the cold sequential sweep land under
   ``winnow_profile``, and the warm re-run must add zero winnow-cache
   misses while reproducing byte-identical winnow traces (per-stage LF
@@ -55,8 +55,8 @@ git SHA, newest last) tracking the parser speedup across runs — and exits
 non-zero when a headline speedup regresses (CI runs this via
 ``scripts/ci.sh``):
 
-* cached corpus load and Sage construction must stay >10x cheaper than
-  cold;
+* cached corpus load and ``SageEngine`` construction must stay >10x
+  cheaper than cold;
 * the parser backends must agree sentence-for-sentence on every corpus
   (LF signature sets — the parity gate), and the optimized backend must
   deliver ≥5x the reference backend's cold-parse throughput on the
@@ -106,7 +106,7 @@ import statistics
 import sys
 import time
 
-from repro.core import Sage, SageEngine
+from repro.core import SageEngine
 from repro.framework.addressing import ip_to_int
 from repro.framework.icmp import make_echo
 from repro.framework.ip import PROTO_ICMP, make_ip_packet
@@ -192,8 +192,8 @@ def main() -> int:
     # dictionary is process-wide — force the re-read so the cold number
     # includes it.
     load_default_dictionary(refresh=True)
-    numbers["sage_construct_cold_s"], _ = timed(Sage)
-    numbers["sage_construct_cached_s"], _ = timed(Sage, repeat=10)
+    numbers["sage_construct_cold_s"], _ = timed(SageEngine)
+    numbers["sage_construct_cached_s"], _ = timed(SageEngine, repeat=10)
 
     # -- parser backends head-to-head, truly cold ---------------------------
     # This must run before anything CCG-parses: the indexed backend's
@@ -295,12 +295,12 @@ def main() -> int:
     cache = registry.parse_cache()
     cache.clear()
     numbers["icmp_strict_run_s"], strict = timed(
-        lambda: Sage(mode="strict").process_corpus(corpus)
+        lambda: SageEngine(mode="strict").process_corpus(corpus)
     )
     # The revised run reuses the strict run's parses through the shared
     # cache; before the cache both modes re-parsed everything.
     numbers["icmp_revised_run_s"], revised = timed(
-        lambda: Sage(mode="revised").process_corpus(corpus)
+        lambda: SageEngine(mode="revised").process_corpus(corpus)
     )
 
     numbers["icmp_sentences"] = len(corpus.sentences)
@@ -330,9 +330,8 @@ def main() -> int:
     numbers["sweep_sequential_cold_sentences_per_s"] = (
         total_sentences / numbers["sweep_sequential_cold_s"]
     )
-    # The check-memo / traversal-cache / stage-cache counters for exactly
-    # the cold sequential sweep: this is the window where the canonical-
-    # signature and type memos do their cross-sentence work.
+    # The form-flow / traversal-cache / stage-cache counters for exactly
+    # the cold sequential sweep.
     numbers["winnow_profile"] = winnow_profile_delta(
         winnow_profile_before, WINNOW_PROFILE.counts()
     )
@@ -598,10 +597,6 @@ def main() -> int:
         "span_reuse_rate": numbers["parse_profile"]["span_reuse_rate"],
         "sweep_warm_rerun_sentences_per_s":
             numbers["sweep_warm_rerun_sentences_per_s"],
-        "winnow_type_memo_hit_rate":
-            numbers["winnow_profile"]["type_memo_hit_rate"],
-        "winnow_canon_memo_hit_rate":
-            numbers["winnow_profile"]["canon_memo_hit_rate"],
         "api_serialize_run_s": numbers["api_serialize_run_s"],
     })
     numbers["history"] = history[-50:]
@@ -630,7 +625,8 @@ def main() -> int:
     if not numbers["corpus_load_cached_s"] < numbers["corpus_load_cold_s"] / 10:
         failures.append("cached corpus load is not >10x cheaper than cold")
     if not numbers["sage_construct_cached_s"] < numbers["sage_construct_cold_s"] / 10:
-        failures.append("cached Sage construction is not >10x cheaper than cold")
+        failures.append("cached SageEngine construction is not >10x "
+                        "cheaper than cold")
     # The warm-rerun multiple shrank by design when the indexed backend's
     # span memo landed: a parse-cache-cold sweep now reuses whole chart
     # cells across sentences (the memos were warmed by the head-to-head

@@ -116,20 +116,45 @@ serve_gate() {
     [ -n "$port" ] || { echo "SERVE FAILURE: could not read port" >&2; return 1; }
   }
 
+  # SIGTERMs the server and fails when it or any of its pool workers is
+  # still running (not exited, not a zombie) after a bounded wait.
+  alive() { ps -o stat= -p "$1" 2>/dev/null | grep -qv '^Z'; }
+  stop_server() {
+    local workers left="" proc i
+    workers="$(pgrep -P "$pid" || true)"
+    kill "$pid" 2>/dev/null && wait "$pid" 2>/dev/null || true
+    for proc in "$pid" $workers; do
+      for i in $(seq 1 100); do
+        alive "$proc" || break
+        sleep 0.2
+      done
+      if alive "$proc"; then left="$left $proc"; fi
+    done
+    pid=""
+    if [ -n "$left" ]; then
+      echo "SERVE FAILURE: server processes still running after stop:$left" >&2
+      # shellcheck disable=SC2086
+      kill -9 $left 2>/dev/null || true
+      return 1
+    fi
+  }
+
+  # A failing harness still stops the server (set -e would exit first).
+  local status=0
   boot_server || return 1
   echo "-- boot 1 (cold store, port $port): latency + error gates"
   python benchmarks/load_harness.py --url "http://127.0.0.1:$port" \
     --requests 24 --warmup 4 --concurrency 3 \
-    --min-throughput-fraction 0 --no-write
-  kill "$pid" 2>/dev/null && wait "$pid" 2>/dev/null || true
-  pid=""
+    --min-throughput-fraction 0 --no-write || status=$?
+  stop_server || return 1
+  [ "$status" -eq 0 ] || return "$status"
 
   boot_server || return 1
   echo "-- boot 2 (warm store, port $port): throughput + warm-start gates"
   python benchmarks/load_harness.py --url "http://127.0.0.1:$port" \
-    --requests 24 --warmup 4 --concurrency 3 --expect-warm
-  kill "$pid" 2>/dev/null && wait "$pid" 2>/dev/null || true
-  pid=""
+    --requests 24 --warmup 4 --concurrency 3 --expect-warm || status=$?
+  stop_server || return 1
+  return "$status"
 }
 
 if [ "${1:-all}" = "serve-gate" ]; then

@@ -115,8 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="print the per-sentence stage-count lines")
     p_winnow.add_argument("--profile", action="store_true",
                           help="print the winnow hot-path counters for this "
-                               "batch (canonical-sid and check-memo hit "
-                               "rates, stage-cache hits, oracle calls)")
+                               "batch (form flow, traversal-cache and "
+                               "stage-cache hit rates)")
     common(p_winnow)
 
     p_resolve = sub.add_parser(
@@ -697,9 +697,13 @@ def _cmd_serve(args, out) -> int:
     process first: with a process pool, each worker constructs its own
     service over the shared cache directory, and building one here would
     only burn memory in a parent that never answers requests.
+
+    SIGTERM takes the same exit as SIGINT, so ``kill <pid>`` also shuts the
+    worker pool down instead of orphaning its processes.
     """
     import asyncio
     import os
+    import signal
 
     from ..server import ReproServer, ServiceConfig
 
@@ -718,11 +722,17 @@ def _cmd_serve(args, out) -> int:
               f"cache {cache_dir or 'in-memory'})", file=out, flush=True)
         await server.serve_forever()
 
+    def _interrupt(_signum, _frame):
+        raise KeyboardInterrupt
+
+    # Installed after the pool forked its workers: they keep the default.
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         asyncio.run(_serve())
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.pool.close()
     return 0
 

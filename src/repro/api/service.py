@@ -182,7 +182,7 @@ class SageService:
         throughput, parse-cache hit counts, per-sentence LF counts /
         unknown words / pruned flags, and — under ``"profile"`` — the
         :mod:`repro.parsing.profile` counter delta for exactly this batch
-        (agenda pops, span/production/apply memo hit rates, deferred-item
+        (agenda pops, span/production memo hit rates, deferred-item
         counts, budget drops).  No winnowing or code generation runs —
         this is the parsing subsystem in isolation.
         """
@@ -248,9 +248,8 @@ class SageService:
         dict: per-sentence stage counts and survivor digests, wall-clock
         throughput, the winnow-result cache stats, and — under
         ``"profile"`` — the :mod:`repro.disambiguation.profile` counter
-        delta for exactly this batch (canonical-sid and check-memo hit
-        rates, per-form cache hits, stage-cache hits, oracle calls).  No
-        code generation runs.
+        delta for exactly this batch (form flow, traversal-cache and
+        stage-cache hit rates).  No code generation runs.
         """
         import hashlib
         import time

@@ -9,10 +9,8 @@ from .checks import (
     NestingRule,
     PredicateOrderingCheck,
     TypeCheck,
-    reset_winnow_state,
 )
 from .profile import (
-    WinnowProfile,
     profile_delta,
     profile_snapshot,
     reset_profile,
@@ -47,14 +45,12 @@ __all__ = [
     "Resolution",
     "ResolutionError",
     "TypeCheck",
-    "WinnowProfile",
     "WinnowSummary",
     "WinnowTrace",
     "isolated_effects",
     "profile_delta",
     "profile_snapshot",
     "reset_profile",
-    "reset_winnow_state",
     "resolution_for_rewrite",
     "summarize",
     "winnow",

@@ -1,4 +1,4 @@
-"""The five winnowing checks of §4.2, memoized over interned structure.
+"""The five winnowing checks of §4.2.
 
 Each check filters a sentence's logical-form set:
 
@@ -14,51 +14,28 @@ Each check filters a sentence's logical-form set:
 * **Associativity** — logical forms equal up to associative regrouping
   (Figure 3) collapse to one, by canonical-form membership.
 
-Memoization discipline — what may key on what:
+Type, Argument Ordering, Predicate Ordering and Distributivity are plain
+walks over each form's call list (:func:`~repro.ccg.semantics.calls_of`,
+cached per node).  Associativity compares canonical forms, computed over
+each grounded LF's interned sid (:mod:`repro.lf.graph`); that is exact
+because regrouping is pure, provenance-free structure.  Spans, triggers
+and flags are provenance, not part of a sid.  No check keeps a
+process-global table: the winnow cache stores each sentence's result.
 
-* **Sid-pure checks** (Type, Predicate Ordering, Associativity) depend
-  only on provenance-free structure, so their per-node results live in
-  process-global tables keyed on the interned sids from
-  :mod:`repro.parsing.values`, shared across every parse that produces the
-  same shape.  Each table is addressed by the owning check's content
-  *fingerprint* (rule set + constant classes / blocklist), so two
-  differently-configured checks never alias, and an edited configuration
-  self-invalidates by landing in a fresh table.
-* **Provenance-dependent checks** (Argument Ordering reads Const spans and
-  Call triggers; Distributivity reads Call flags — none of which are part
-  of a sid) must NOT key on sids.  Their per-form results cache on the
-  node objects themselves (``__dict__``, the ``_norm`` idiom), exact by
-  object identity.
-
-To add a memo-safe check: pure functions of structure may use
-``sid_for_term`` + a ``_memo_table(fingerprint)`` table; anything reading
-``span``/``trigger``/``flags`` caches on the node or not at all.  Custom
+Each check has a content :meth:`~Check.fingerprint` that keys the
+:class:`~repro.core.stages.WinnowStage` result cache.  Custom
 :class:`~repro.lf.predicates.TypeRule` sets must give behaviorally
 distinct rules distinct names — rule closures cannot be content-hashed,
 so the fingerprint identifies them by ``(name, predicate)``.
-
-``reset_winnow_state()`` drops every global table (cold-benchmark
-bracketing, mirroring ``reset_parser_state``); per-node caches die with
-their nodes.  Set ``REPRO_WINNOW_ORACLE=1`` to cross-check the
-associativity canonical form against the legacy VF2 matcher on every
-sentence (slow; imports networkx).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from hashlib import sha1
 
 from ..ccg.semantics import Call, Sem, calls_of, span_of
-from ..lf.graph import (
-    _CANON_SID,
-    canon_of_sid,
-    canonical_signature,
-    isomorphic,
-    reset_canonical_memos,
-    sid_for_term,
-)
+from ..lf.graph import canon_of_sid, canonical_signature, sid_for_term
 from ..lf.predicates import (
     LEFT_TO_RIGHT_PREDICATES,
     TRIGGER_ADJACENT_PREDICATES,
@@ -67,35 +44,7 @@ from ..lf.predicates import (
     default_type_rules,
     rules_by_predicate,
 )
-from ..parsing.values import _KEY_OF
 from .profile import PROFILE
-
-#: Environment flag: verify the canonical form against VF2 per sentence.
-ORACLE_ENV = "REPRO_WINNOW_ORACLE"
-
-#: check fingerprint → its process-global sid-keyed memo table.  Tables are
-#: cleared in place by :func:`reset_winnow_state` so checks holding a
-#: reference keep it across resets.
-_CHECK_MEMOS: dict[str, dict[int, bool]] = {}
-
-
-def _memo_table(fingerprint: str) -> dict[int, bool]:
-    table = _CHECK_MEMOS.get(fingerprint)
-    if table is None:
-        table = _CHECK_MEMOS[fingerprint] = {}
-    return table
-
-
-def reset_winnow_state() -> None:
-    """Drop every process-global winnow memo (honest cold benchmarks).
-
-    Clears the per-check sid tables and the canonicalization memos; the
-    intern tables themselves survive (sids stay valid), mirroring
-    :func:`repro.parsing.values.reset_derived_memos`.
-    """
-    for table in _CHECK_MEMOS.values():
-        table.clear()
-    reset_canonical_memos()
 
 
 def _calls(term: Sem) -> tuple[Call, ...]:
@@ -125,7 +74,7 @@ class Check:
         raise NotImplementedError
 
     def fingerprint(self) -> str:
-        """Content identity for memo tables and winnow-cache keys.
+        """Content identity for winnow-cache keys.
 
         Configuration-free checks are identified by their class; checks
         with tunable rules override this with a content digest.
@@ -143,23 +92,18 @@ class TypeCheck(Check):
         self.rules = rules if rules is not None else default_type_rules()
         self.classes = classes or ConstantClasses()
         self._by_predicate = rules_by_predicate(self.rules)
-        self._memo: dict[int, bool] | None = None
-        self._fp: str | None = None
-        self._fp_generation = -1
+        self._fp = ""
+        self._fp_generation = -1  # no digest yet
 
     def fingerprint(self) -> str:
-        self._refresh()
-        return self._fp
-
-    def _refresh(self) -> dict[int, bool]:
-        """The memo table for the *current* configuration.
+        """Digest of the rule set and the *current* constant classes.
 
         ``ConstantClasses`` is mutable (``register``); its generation
-        counter rides in the fingerprint, so registering a class moves
-        this check to a fresh table instead of serving stale verdicts.
+        counter is checked on every call, so registering a class moves
+        the winnow cache to a fresh key instead of serving stale verdicts.
         """
         generation = self.classes.generation
-        if self._memo is None or self._fp_generation != generation:
+        if self._fp_generation != generation:
             payload = repr((
                 "Type",
                 tuple((rule.name, rule.predicate) for rule in self.rules),
@@ -167,44 +111,9 @@ class TypeCheck(Check):
             ))
             self._fp = sha1(payload.encode("utf-8")).hexdigest()
             self._fp_generation = generation
-            self._memo = _memo_table(self._fp)
-        return self._memo
+        return self._fp
 
     def well_typed(self, form: Sem) -> bool:
-        memo = self._refresh()
-        sid, grounded = sid_for_term(form)
-        if not grounded:
-            return self._well_typed_uncached(form)
-        if type(form) is not Call:
-            return True  # a bare constant has no calls to violate
-        return self._typed_sid(form, sid, memo)
-
-    def _typed_sid(self, node: Call, sid: int, memo: dict[int, bool]) -> bool:
-        hit = memo.get(sid)
-        if hit is not None:
-            PROFILE.type_memo_hits += 1
-            return hit
-        PROFILE.type_memo_misses += 1
-        result = True
-        rules = self._by_predicate.get(node.pred)
-        if rules:
-            for rule in rules:
-                if not rule.check(node, self.classes):
-                    result = False
-                    break
-        if result:
-            # The sid's intern key decomposes in lockstep with the node's
-            # argument tuple, handing every child its sid for free.
-            arg_sids = _KEY_OF[sid][2]
-            for arg, arg_sid in zip(node.args, arg_sids):
-                if type(arg) is Call and not self._typed_sid(arg, arg_sid,
-                                                            memo):
-                    result = False
-                    break
-        memo[sid] = result
-        return result
-
-    def _well_typed_uncached(self, form: Sem) -> bool:
         for call in _calls(form):
             for rule in self._by_predicate.get(call.pred, ()):
                 if not rule.check(call, self.classes):
@@ -223,31 +132,19 @@ class ArgumentOrderingCheck(Check):
     For left-to-right predicates (@Is, @Reach) the target's source span must
     begin before the value's.
 
-    Spans and triggers are provenance — not part of a sid — so the verdict
-    caches on the form object itself, never in a sid table.
     """
 
     name = "Argument Ordering"
 
     def ordered(self, form: Sem) -> bool:
-        d = form.__dict__
-        hit = d.get("_arg_ordered")
-        if hit is not None:
-            PROFILE.form_cache_hits += 1
-            return hit
-        PROFILE.form_cache_misses += 1
-        result = True
         for call in _calls(form):
             if call.pred in TRIGGER_ADJACENT_PREDICATES:
                 if not self._trigger_adjacent(call):
-                    result = False
-                    break
+                    return False
             if call.pred in LEFT_TO_RIGHT_PREDICATES:
                 if not self._left_to_right(call):
-                    result = False
-                    break
-        d["_arg_ordered"] = result
-        return result
+                    return False
+        return True
 
     @staticmethod
     def _trigger_adjacent(call: Call) -> bool:
@@ -320,12 +217,7 @@ DEFAULT_ORDERING_BLOCKLIST: tuple[NestingRule, ...] = (
 
 
 class PredicateOrderingCheck(Check):
-    """Remove LFs containing blocklisted predicate nestings.
-
-    Nesting is pure structure, and :class:`NestingRule` is frozen content,
-    so verdicts memoize per node in a sid table addressed by the
-    blocklist's digest.
-    """
+    """Remove LFs containing blocklisted predicate nestings."""
 
     name = "Predicate Ordering"
 
@@ -336,35 +228,12 @@ class PredicateOrderingCheck(Check):
             for rule in blocklist
         ))
         self._fp = sha1(payload.encode("utf-8")).hexdigest()
-        self._memo = _memo_table(self._fp)
 
     def fingerprint(self) -> str:
         return self._fp
 
     def ordered(self, form: Sem) -> bool:
-        sid, grounded = sid_for_term(form)
-        if not grounded:
-            return not any(self._violates(call) for call in _calls(form))
-        if type(form) is not Call:
-            return True
-        return self._ordered_sid(form, sid)
-
-    def _ordered_sid(self, node: Call, sid: int) -> bool:
-        memo = self._memo
-        hit = memo.get(sid)
-        if hit is not None:
-            PROFILE.nesting_memo_hits += 1
-            return hit
-        PROFILE.nesting_memo_misses += 1
-        result = not self._violates(node)
-        if result:
-            arg_sids = _KEY_OF[sid][2]
-            for arg, arg_sid in zip(node.args, arg_sids):
-                if type(arg) is Call and not self._ordered_sid(arg, arg_sid):
-                    result = False
-                    break
-        memo[sid] = result
-        return result
+        return not any(self._violates(call) for call in _calls(form))
 
     def _violates(self, call: Call) -> bool:
         for rule in self.blocklist:
@@ -389,24 +258,14 @@ class DistributivityCheck(Check):
 
     The chart flags LFs built from the distributed coordination rule; when
     any unflagged LF survives, all flagged ones are dropped (§4.2: "sage
-    always selects the non-distributive logical form version").  Flags are
-    provenance, so the verdict caches on the node, never on a sid.
+    always selects the non-distributive logical form version").
     """
 
     name = "Distributivity"
 
     @staticmethod
     def _is_distributed(form: Sem) -> bool:
-        d = form.__dict__
-        hit = d.get("_distributed")
-        if hit is not None:
-            PROFILE.form_cache_hits += 1
-            return hit
-        PROFILE.form_cache_misses += 1
-        hit = d["_distributed"] = any(
-            "distributed" in call.flags for call in _calls(form)
-        )
-        return hit
+        return any("distributed" in call.flags for call in _calls(form))
 
     def filter(self, forms: list[Sem]) -> list[Sem]:
         non_distributed = [form for form in forms if not self._is_distributed(form)]
@@ -419,8 +278,8 @@ class AssociativityCheck(Check):
     Equivalence-class membership is one canonical sid per form
     (:func:`repro.lf.graph.canonical_sid` — exact for these rooted trees),
     so the filter is a set probe per form instead of the O(n²) VF2 runs it
-    replaced.  ``REPRO_WINNOW_ORACLE=1`` re-runs the legacy
-    bucket-then-VF2 path per sentence and asserts agreement.
+    replaced.  The test suite replays the legacy bucket-then-VF2 path over
+    every bundled corpus and asserts agreement.
     """
 
     name = "Associativity"
@@ -436,66 +295,17 @@ class AssociativityCheck(Check):
                 continue
             seen.add(key)
             kept.append(form)
-        if os.environ.get(ORACLE_ENV):
-            self._check_oracle(forms, kept)
         return kept
 
     @staticmethod
     def _class_key(form: Sem):
         sid, grounded = sid_for_term(form)
         if grounded:
-            hit = _CANON_SID.get(sid)
-            if hit is not None:
-                PROFILE.canon_memo_hits += 1
-                return hit
-            PROFILE.canon_memo_misses += 1
             return canon_of_sid(sid)
         # Binder-bearing forms never reach the winnow pipeline; for them
         # the regrouping-invariant string is the same equivalence (non-Call
         # subtrees compare as leaf labels either way).
         return canonical_signature(form)
-
-    def _check_oracle(self, forms: list[Sem], kept: list[Sem]) -> None:
-        """Replay the legacy VF2 path and assert it kept the same forms."""
-        legacy = self._filter_vf2(forms)
-        if [id(form) for form in legacy] != [id(form) for form in kept]:
-            raise AssertionError(
-                "associativity canonical form disagrees with the VF2 "
-                f"oracle: kept {[canonical_signature(f) for f in kept]} "
-                f"vs oracle {[canonical_signature(f) for f in legacy]}"
-            )
-
-    @staticmethod
-    def _filter_vf2(forms: list[Sem]) -> list[Sem]:
-        """The pre-canonical implementation: signature buckets confirmed
-        pairwise with VF2, candidates ordered cheapest-signature-first so
-        the ``any`` scan short-circuits on the smallest graphs."""
-        buckets: dict[str, list[Sem]] = {}
-        order: list[str] = []
-        for form in forms:
-            key = canonical_signature(form)
-            if key not in buckets:
-                buckets[key] = []
-                order.append(key)
-            buckets[key].append(form)
-        representatives: list[Sem] = []
-        for key in order:
-            kept: list[Sem] = []
-            for form in buckets[key]:
-                candidates = sorted(
-                    kept, key=lambda f: len(canonical_signature(f))
-                )
-                matched = False
-                for existing in candidates:
-                    PROFILE.oracle_calls += 1
-                    if isomorphic(form, existing):
-                        matched = True
-                        break
-                if matched:
-                    continue
-                kept.append(form)
-            representatives.extend(kept)
-        return representatives
 
 
 @dataclass

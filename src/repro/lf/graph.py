@@ -14,19 +14,18 @@ Two equivalent implementations live here:
   associative chains and sort commutative argument lists at the sid level,
   interning the canonical shape as a sid of its own.  Two forms are
   isomorphic **iff** their canonical sids are equal — for rooted trees,
-  hereditary canonical labeling is exact, no hashing heuristics — and the
-  memoized tables make repeat forms (formulaic RFC prose) a dict probe.
-  This is the hot path; it never imports networkx.
+  hereditary canonical labeling is exact, no hashing heuristics.  This is
+  the hot path; it never imports networkx.
 * the **VF2 oracle** — :func:`to_graph` + :func:`isomorphic` convert to
   labeled networkx DiGraphs and run the VF2 matcher, exactly as before.
   networkx is imported lazily inside these functions only, so the warm
-  pipeline never pays the import; the oracle survives for property tests
-  and the ``REPRO_WINNOW_ORACLE`` debug flag in
-  :class:`repro.disambiguation.checks.AssociativityCheck`.
+  pipeline never pays the import; the oracle survives for the property
+  tests and the corpus-wide replay of the legacy associativity filter in
+  the test suite.
 
 The string :func:`canonical_signature` (regrouping-invariant render) is
 unchanged in output; for grounded forms it renders from the canonical sid
-through a memo table instead of rebuilding flattened terms.
+instead of rebuilding flattened terms.
 """
 
 from __future__ import annotations
@@ -119,16 +118,8 @@ def isomorphic(a: Sem, b: Sem) -> bool:
 # as nested ("@", pred, arg-sids) / ("c", value) tuples.  Canonicalization
 # rewrites that key bottom-up — flatten same-predicate associative chains,
 # sort commutative argument lists — and interns the result, so equality up
-# to regrouping becomes integer equality.  Both tables are process-global
-# and content-addressed like the intern tables they shadow; they grow with
-# the number of distinct LF shapes ever canonicalized and are dropped by
-# :func:`reset_canonical_memos` for honest cold benchmarks.
-
-#: sid → canonical sid (the exact regrouping-equivalence class id).
-_CANON_SID: dict[int, int] = {}
-
-#: canonical sid → its rendered signature string.
-_CANON_STR: dict[int, str] = {}
+# to regrouping becomes integer equality.  Nothing here is memoized: LFs
+# are small, and the winnow cache already stores each sentence's verdict.
 
 
 def sid_for_term(term: Sem) -> tuple[int, bool]:
@@ -145,50 +136,38 @@ def sid_for_term(term: Sem) -> tuple[int, bool]:
 
 
 def _canon_str(canon_sid: int) -> str:
-    """Render a canonical sid as the legacy signature string (memoized)."""
-    hit = _CANON_STR.get(canon_sid)
-    if hit is not None:
-        return hit
+    """Render a canonical sid as the legacy signature string."""
     key = _KEY_OF[canon_sid]
     tag = key[0]
     if tag == "c":
-        rendered = f"'{key[1]}'"
-    elif tag == "@":
-        rendered = f"@{key[1]}({','.join(_canon_str(a) for a in key[2])})"
-    else:  # "v" — ungrounded structures never canonicalize (guarded below)
-        rendered = key[1]
-    _CANON_STR[canon_sid] = rendered
-    return rendered
+        return f"'{key[1]}'"
+    if tag == "@":
+        return f"@{key[1]}({','.join(_canon_str(a) for a in key[2])})"
+    return key[1]  # "v" — ungrounded structures never canonicalize
 
 
 def canon_of_sid(sid: int) -> int:
     """The canonical sid for ``sid`` (grounded structures only)."""
-    hit = _CANON_SID.get(sid)
-    if hit is not None:
-        return hit
     key = _KEY_OF[sid]
     if key[0] != "@":
-        result = sid  # constants are their own canonical form
-    else:
-        pred = key[1]
-        canon_args = [canon_of_sid(arg) for arg in key[2]]
-        if pred in ASSOCIATIVE_PREDICATES:
-            flat: list[int] = []
-            for arg in canon_args:
-                arg_key = _KEY_OF[arg]
-                if arg_key[0] == "@" and arg_key[1] == pred:
-                    flat.extend(arg_key[2])
-                else:
-                    flat.append(arg)
-            canon_args = flat
-        if pred in COMMUTATIVE_PREDICATES:
-            # Sort by rendered string — the legacy commutative order — with
-            # the sid as tiebreak so equal renders of distinct structures
-            # still canonicalize permutation-invariantly.
-            canon_args = sorted(canon_args, key=lambda a: (_canon_str(a), a))
-        result = sid_of_key(("@", pred, tuple(canon_args)))
-    _CANON_SID[sid] = result
-    return result
+        return sid  # constants are their own canonical form
+    pred = key[1]
+    canon_args = [canon_of_sid(arg) for arg in key[2]]
+    if pred in ASSOCIATIVE_PREDICATES:
+        flat: list[int] = []
+        for arg in canon_args:
+            arg_key = _KEY_OF[arg]
+            if arg_key[0] == "@" and arg_key[1] == pred:
+                flat.extend(arg_key[2])
+            else:
+                flat.append(arg)
+        canon_args = flat
+    if pred in COMMUTATIVE_PREDICATES:
+        # Sort by rendered string — the legacy commutative order — with
+        # the sid as tiebreak so equal renders of distinct structures
+        # still canonicalize permutation-invariantly.
+        canon_args = sorted(canon_args, key=lambda a: (_canon_str(a), a))
+    return sid_of_key(("@", pred, tuple(canon_args)))
 
 
 def canonical_sid(term: Sem) -> int | None:
@@ -206,24 +185,14 @@ def canonical_sid(term: Sem) -> int | None:
     return canon_of_sid(sid)
 
 
-def reset_canonical_memos() -> None:
-    """Drop the canonicalization memo tables (cold-benchmark bracketing).
-
-    The underlying intern tables survive, mirroring
-    :func:`repro.parsing.values.reset_derived_memos`.
-    """
-    _CANON_SID.clear()
-    _CANON_STR.clear()
-
-
 def canonical_signature(term: Sem) -> str:
     """A string invariant under associative regrouping (exact for trees).
 
     Associative predicates' argument lists are flattened and commutative
     predicates' arguments sorted by their own canonical signatures, so any
     regrouping/reordering of an @And/@Of chain produces the same string.
-    Grounded forms render from the memoized canonical sid; anything with
-    binders falls back to the term-level walk (same output either way).
+    Grounded forms render from the canonical sid; anything with binders
+    falls back to the term-level walk (same output either way).
     """
     sid, grounded = sid_for_term(term)
     if grounded:

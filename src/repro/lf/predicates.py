@@ -97,8 +97,9 @@ class ConstantClasses:
 
     def __init__(self) -> None:
         self._classes: dict[str, str] = {}
-        #: Bumped on every mutation so content fingerprints (and the memo
-        #: tables keyed on them) self-invalidate when a class registers.
+        #: Bumped on every mutation so content fingerprints (and the winnow
+        #: cache keys built from them) self-invalidate when a class
+        #: registers.
         self.generation = 0
         for name in _FIELD_CONSTANTS:
             self._classes[name] = FIELD
@@ -114,7 +115,7 @@ class ConstantClasses:
         self.generation += 1
 
     def fingerprint(self) -> str:
-        """Content digest of the class map (memo/cache key material)."""
+        """Content digest of the class map (cache key material)."""
         import hashlib
 
         payload = repr(sorted(self._classes.items()))

@@ -119,7 +119,6 @@ from .values import (
     neutral,
     normalize,
     normalize_batch,
-    reset_apply_memo,
     reset_derived_memos,
     sid_apply,
     sid_grounded,
@@ -136,9 +135,9 @@ _PRODUCTION_MEMO: dict[tuple, tuple] = {}
 #: Lexical span cache: the chart items (category, stamped sem, normalized
 #: triple) a given surface span yields are a pure function of the lexicon
 #: content, the span's tokens, and the start position, so they are shared
-#: process-wide.  Sharing the *sem objects* across sentences is what
-#: feeds the apply memo in :mod:`.values` — identical phrases at
-#: identical offsets re-derive combination results by dict probe.
+#: process-wide.  Sharing the *sem objects* across sentences also shares
+#: their per-node ``_norm`` stamps (:mod:`.values`), so identical phrases
+#: at identical offsets skip re-normalizing their closed subterms.
 #:
 #: The cache is generational: one inner dict per lexicon fingerprint (an
 #: edited or different lexicon can never be served another grammar's
@@ -154,15 +153,8 @@ _LEXICAL_GENERATIONS = 4
 def _lexical_generation(fingerprint: str) -> dict[tuple, tuple]:
     generation = _LEXICAL_CACHE.get(fingerprint)
     if generation is None:
-        evicted = False
         while len(_LEXICAL_CACHE) >= _LEXICAL_GENERATIONS:
             _LEXICAL_CACHE.pop(next(iter(_LEXICAL_CACHE)))
-            evicted = True
-        if evicted:
-            # The apply memo pins sem objects from the dropped
-            # generation's items; those entries can never hit again, so
-            # release them wholesale (live entries rebuild on demand).
-            reset_apply_memo()
         generation = _LEXICAL_CACHE.setdefault(fingerprint, {})
     return generation
 

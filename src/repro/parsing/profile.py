@@ -1,36 +1,31 @@
-"""Lightweight instrumentation counters for the parser hot path.
+"""Instrumentation counters for the parser hot path.
 
-One process-global :class:`ParseProfile` accumulates what the agenda-driven
-indexed backend (:mod:`.indexed`) and the fused normalizer (:mod:`.values`)
-actually did: agenda pops and scheduled targets, cells visited vs seeded
-from the cross-sentence span memo, per-memo hit/miss counts, and budget
-drops.  Counting is always on — the counters are plain integer attribute
-increments, a few per agenda pop, which is noise next to the term
-construction they describe — so a snapshot is always truthful for the
-process, and a *delta* between two snapshots is truthful for any bracketed
-region (one ``ParseStage.run_batch``, one benchmark sweep).
+The process-global :data:`PROFILE` (a :class:`~repro.counters.Counters`)
+accumulates what the agenda-driven indexed backend (:mod:`.indexed`) and
+its packed forest (:mod:`.forest`) actually did: agenda pops and scheduled
+targets, cells visited vs seeded from the cross-sentence span memo,
+per-memo hit/miss counts, and budget drops.
 
 Consumers:
 
 * ``SageService.parse_diagnostics`` wraps each batch parse in a delta and
   reports it under the ``"profile"`` key;
 * ``python -m repro parse --profile`` renders the same delta;
+* the server's ``/stats`` sums the workers' counters (:mod:`repro.server.pool`);
 * ``benchmarks/pipeline_smoke.py`` records the head-to-head sweep's
   counters into ``BENCH_pipeline.json`` and gates the span-memo reuse rate
   (formulaic RFC prose must keep reusing spans, or the cross-sentence
   memo silently stopped paying for itself).
-
-Hit *rates* are derived at snapshot time, never stored: a rate is only
-meaningful relative to the window it was measured over.
 """
 
 from __future__ import annotations
 
-__all__ = ["ParseProfile", "PROFILE", "profile_snapshot", "reset_profile",
+from ..counters import Counters
+
+__all__ = ["COUNTER_NAMES", "PROFILE", "profile_snapshot", "reset_profile",
            "profile_delta"]
 
-#: The raw counter names, in reporting order.  Each is a monotonically
-#: increasing int on :data:`PROFILE`.
+#: The raw counter names, in reporting order.
 COUNTER_NAMES = (
     "parses",               # parse_forest calls (indexed backend)
     "agenda_pops",          # targets popped off the combination agenda
@@ -42,8 +37,6 @@ COUNTER_NAMES = (
     "items_reused",         # packed items adopted from the span memo
     "production_memo_hits",   # structural production outcomes answered
     "production_memo_misses",
-    "apply_memo_hits",      # normal-form applications answered by identity
-    "apply_memo_misses",
     "lexical_cache_hits",   # lexical span lookups answered
     "lexical_cache_misses",
     "budget_drops",         # items the PruneBudget rejected (counted drops)
@@ -51,61 +44,14 @@ COUNTER_NAMES = (
     "forced_items",         # deferred items whose term was later demanded
 )
 
-#: hit/miss counter pairs → the derived rate key reported in snapshots.
-_RATES = (
+#: The process-global profile every parser in this process reports into.
+PROFILE = Counters(COUNTER_NAMES, (
     ("span_memo_hits", "span_memo_misses", "span_reuse_rate"),
     ("production_memo_hits", "production_memo_misses",
      "production_memo_hit_rate"),
-    ("apply_memo_hits", "apply_memo_misses", "apply_memo_hit_rate"),
     ("lexical_cache_hits", "lexical_cache_misses", "lexical_cache_hit_rate"),
-)
+))
 
-
-class ParseProfile:
-    """A bundle of monotonic counters (see module docstring)."""
-
-    __slots__ = COUNTER_NAMES
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        for name in COUNTER_NAMES:
-            setattr(self, name, 0)
-
-    def counts(self) -> dict:
-        """The raw counters as a plain dict (JSON-safe)."""
-        return {name: getattr(self, name) for name in COUNTER_NAMES}
-
-    def snapshot(self) -> dict:
-        """Raw counters plus the derived hit rates (JSON-safe)."""
-        return _with_rates(self.counts())
-
-
-def _with_rates(counts: dict) -> dict:
-    out = dict(counts)
-    for hits, misses, rate in _RATES:
-        total = counts[hits] + counts[misses]
-        out[rate] = (counts[hits] / total) if total else 0.0
-    return out
-
-
-#: The process-global profile every parser in this process reports into.
-PROFILE = ParseProfile()
-
-
-def profile_snapshot() -> dict:
-    """Counters-plus-rates for everything parsed so far in this process."""
-    return PROFILE.snapshot()
-
-
-def reset_profile() -> None:
-    """Zero the process-global counters (test/benchmark bracketing)."""
-    PROFILE.reset()
-
-
-def profile_delta(before: dict, after: dict) -> dict:
-    """The counter delta ``after - before``, with rates recomputed over the
-    delta window.  Both arguments are ``counts()``/``snapshot()`` dicts."""
-    delta = {name: after[name] - before[name] for name in COUNTER_NAMES}
-    return _with_rates(delta)
+profile_snapshot = PROFILE.snapshot
+reset_profile = PROFILE.reset
+profile_delta = PROFILE.delta

@@ -54,7 +54,6 @@ from __future__ import annotations
 import itertools
 
 from ..ccg.semantics import App, Call, Const, Lam, Sem, Var
-from .profile import PROFILE
 
 __all__ = ["normalize", "normalize_batch", "apply_triple", "Triple",
            "sid_of_key", "sid_apply", "sid_grounded", "neutral", "lam_wrap",
@@ -387,39 +386,17 @@ def make_call_triple(pred: str, args: tuple[Triple, ...], trigger,
     return triple
 
 
-#: (id(fn_sem), id(arg_sem)) → (fn_sem, arg_sem, result triple).  The
-#: result of applying one normal form to another is a pure function of the
-#: two term *objects* (provenance included), so identity-keyed memoization
-#: is exact; the stored references pin the keyed objects.  Hits come from
-#: the lexical span cache sharing stamped semantics across sentences —
-#: formulaic RFC prose re-applies the same function to the same argument
-#: constantly.  Because the pins keep term objects alive, the lexical
-#: cache calls :func:`reset_apply_memo` whenever it evicts a lexicon
-#: generation: entries rooted in evicted sems could never hit again
-#: (fresh generations allocate fresh objects), so dropping the whole memo
-#: keeps memory bounded at the cost of re-deriving the live generation's
-#: applications once.
-_APPLY_MEMO: dict[tuple[int, int], tuple] = {}
-
-
-def reset_apply_memo() -> None:
-    """Drop every memoized application (see :data:`_APPLY_MEMO`)."""
-    _APPLY_MEMO.clear()
-
-
 def reset_derived_memos() -> None:
     """Drop every derived memo while keeping the intern tables.
 
-    Clears the term- and sid-level application/substitution/groundedness
-    memos — everything recomputable from the interned structures.  The
-    intern tables themselves (:data:`_INTERN` / :data:`_KEY_OF`) stay:
-    sids are process-global identities that live :class:`PackedItem`\\ s
-    may still hold, and re-interning is O(structure) noise next to the
-    memoized work.  Used by cold-start benchmark bracketing.
+    Clears the sid-level application and groundedness memos — everything
+    recomputable from the interned structures.  The intern tables
+    themselves (:data:`_INTERN` / :data:`_KEY_OF`) stay: sids are
+    process-global identities that live :class:`PackedItem`\\ s may still
+    hold, and re-interning is O(structure) noise next to the memoized
+    work.  Used by cold-start benchmark bracketing.
     """
-    _APPLY_MEMO.clear()
     _SID_APPLY_MEMO.clear()
-    _SID_SUBST_MEMO.clear()
     _SID_GROUNDED.clear()
 
 
@@ -433,19 +410,9 @@ def apply_triple(fn: Triple, arg: Triple) -> Triple:
     """
     fn_sem = fn[0]
     if type(fn_sem) is Lam:
-        arg_sem = arg[0]
-        key = (id(fn_sem), id(arg_sem))
-        hit = _APPLY_MEMO.get(key)
-        if hit is not None:
-            PROFILE.apply_memo_hits += 1
-            return hit[2]
-        PROFILE.apply_memo_misses += 1
-        triple = normalize(fn_sem.body, {fn_sem.param: arg})
-        _APPLY_MEMO[key] = (fn_sem, arg_sem, triple)
-        return triple
-    arg_sem = arg[0]
+        return normalize(fn_sem.body, {fn_sem.param: arg})
     return (
-        _mk_app(fn_sem, arg_sem),
+        _mk_app(fn_sem, arg[0]),
         sid_of_key(("a", fn[1], arg[1])),
         False,
     )
@@ -465,13 +432,11 @@ def apply_triple(fn: Triple, arg: Triple) -> Triple:
 # :func:`normalize` (closed chart terms, binder names verbatim), which the
 # backend-parity suite locks corpus-wide.
 
-#: (fn sid, arg sid) → result sid.  Pure and process-global; unlike
-#: :data:`_APPLY_MEMO` the keys are ints, so one entry serves every
-#: provenance variant of the same structural application.
+#: (fn sid, arg sid) → result sid.  Pure and process-global; the keys are
+#: ints, so one entry serves every provenance variant of the same
+#: structural application.  The substitution walk below is not memoized
+#: on its own: repeated top-level applications hit here.
 _SID_APPLY_MEMO: dict[tuple[int, int], int] = {}
-
-#: (body sid, param, arg sid) → substituted sid.
-_SID_SUBST_MEMO: dict[tuple[int, str, int], int] = {}
 
 #: sid → groundedness of the structure it names.
 _SID_GROUNDED: dict[int, bool] = {}
@@ -501,17 +466,13 @@ def _sid_subst(body_sid: int, param: str, arg_sid: int) -> int:
     Shadowed binders stop the descent; otherwise the walk is as
     capture-naive as :func:`normalize` itself — the two must agree
     structure-for-structure, not be independently "correct"."""
-    mkey = (body_sid, param, arg_sid)
-    hit = _SID_SUBST_MEMO.get(mkey)
-    if hit is not None:
-        return hit
     key = _KEY_OF[body_sid]
     tag = key[0]
     if tag == "v":
-        result = arg_sid if key[1] == param else body_sid
-    elif tag == "c":
-        result = body_sid
-    elif tag == "@":
+        return arg_sid if key[1] == param else body_sid
+    if tag == "c":
+        return body_sid
+    if tag == "@":
         args = key[2]
         new_args = []
         changed = False
@@ -520,24 +481,20 @@ def _sid_subst(body_sid: int, param: str, arg_sid: int) -> int:
             if na != a:
                 changed = True
             new_args.append(na)
-        result = (sid_of_key(("@", key[1], tuple(new_args)))
-                  if changed else body_sid)
-    elif tag == "l":
+        return (sid_of_key(("@", key[1], tuple(new_args)))
+                if changed else body_sid)
+    if tag == "l":
         if key[1] == param:
-            result = body_sid  # shadowed
-        else:
-            new_body = _sid_subst(key[2], param, arg_sid)
-            result = (body_sid if new_body == key[2]
-                      else sid_of_key(("l", key[1], new_body)))
-    else:  # "a": neutral application
-        new_fn = _sid_subst(key[1], param, arg_sid)
-        new_arg = _sid_subst(key[2], param, arg_sid)
-        if new_fn == key[1] and new_arg == key[2]:
-            result = body_sid
-        else:
-            result = sid_apply(new_fn, new_arg)
-    _SID_SUBST_MEMO[mkey] = result
-    return result
+            return body_sid  # shadowed
+        new_body = _sid_subst(key[2], param, arg_sid)
+        return (body_sid if new_body == key[2]
+                else sid_of_key(("l", key[1], new_body)))
+    # "a": neutral application
+    new_fn = _sid_subst(key[1], param, arg_sid)
+    new_arg = _sid_subst(key[2], param, arg_sid)
+    if new_fn == key[1] and new_arg == key[2]:
+        return body_sid
+    return sid_apply(new_fn, new_arg)
 
 
 def sid_grounded(sid: int) -> bool:

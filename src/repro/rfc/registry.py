@@ -5,7 +5,7 @@ parsed RFC corpora, the ~400-term networking dictionary, the CCG lexicon,
 and a chart parser built over it.  Before this module each consumer rebuilt
 them on demand: four hardcoded ``*_corpus()`` loaders re-read and re-parsed
 their RFC text on every call, ``build_lexicon()`` was invoked at eight call
-sites, and each ``Sage()`` re-paid dictionary + lexicon + parser
+sites, and each pipeline object re-paid dictionary + lexicon + parser
 construction.
 
 :class:`ProtocolRegistry` replaces that with a single registration +
@@ -110,7 +110,7 @@ class ParseCache:
 
     Keys are built by the parse stage as ``(substrate_fingerprint,
     sentence_text, field)`` — the fingerprint covers the lexicon and chunker
-    content, so a cache shared across Sage instances, both pipeline modes,
+    content, so a cache shared across engines, both pipeline modes,
     and worker processes can never serve a parse produced under a different
     grammar.  Values are whatever the stage stores (the pipeline stores the
     ``(ParseResult, subject_supplied)`` pair); they are shared objects and
@@ -395,7 +395,7 @@ class ProtocolRegistry:
     def parse_cache(self) -> ParseCache:
         """The shared sentence-parse cache (see :class:`ParseCache`).
 
-        Living here rather than on ``Sage`` means every engine built over
+        Living here rather than on an engine means every engine built over
         this registry — strict and revised mode alike — reuses each other's
         parses: identical sentence text under the same lexicon/chunker
         fingerprint is parsed exactly once per process.  With a cache

@@ -160,12 +160,11 @@ class TestGraphs:
 
 
 class TestMemoInvalidation:
-    """The content-addressed check memos must follow configuration changes.
+    """Verdicts and cache keys must follow configuration changes.
 
-    Verdicts are memoized in process-global tables keyed by each check's
-    content fingerprint; mutating a check's configuration (registering a
-    constant class) must move it to a fresh table, never serve a stale
-    verdict.
+    The winnow cache is keyed by each check's content fingerprint;
+    mutating a check's configuration (registering a constant class) must
+    move it to a fresh key, never serve a stale verdict.
     """
 
     def test_type_verdict_follows_class_registration(self):
@@ -210,21 +209,6 @@ class TestMemoInvalidation:
         assert stage.cache_key(parsed) != key_before
         assert stage.run(parsed) is not first  # stale entry unreachable
 
-    def test_reset_winnow_state_clears_tables_in_place(self):
-        from repro.disambiguation import reset_winnow_state
-
-        check = TypeCheck()
-        form = call("Is", const("checksum"), const("0"))
-        assert check.well_typed(form)
-        table = check._refresh()
-        assert table  # the verdict was memoized
-        reset_winnow_state()
-        # Cleared in place: the check's bound table is the same object,
-        # empty, and keeps answering after recomputation.
-        assert check._refresh() is table
-        assert not table
-        assert check.well_typed(form)
-
 
 class TestCorpusAssociativityPairs:
     def test_canonical_matches_vf2_on_real_parse_ambiguity(self):
@@ -253,20 +237,52 @@ class TestCorpusAssociativityPairs:
         assert equivalent > 0  # ...including real regrouping pairs
 
 
-class TestOracleFlag:
-    def test_oracle_replay_agrees_with_canonical_fast_path(self, monkeypatch):
-        from repro.disambiguation.checks import ORACLE_ENV
-        from repro.disambiguation.profile import PROFILE
+class TestVf2Reference:
+    """The canonical-sid associativity filter keeps exactly the forms the
+    legacy bucket-plus-VF2 filter (``tests/vf2_associativity.py``) keeps,
+    on every bundled corpus: on each sentence's base forms (Figure 6's
+    isolated run) and on the forms the earlier checks pass along."""
 
-        monkeypatch.setenv(ORACLE_ENV, "1")
-        check = AssociativityCheck()
+    def test_regrouping_pair_collapses_like_vf2(self):
+        from vf2_associativity import filter_vf2
+
         left = call("Of", call("Of", const("a"), const("b")), const("c"))
         right = call("Of", const("a"), call("Of", const("b"), const("c")))
         other = call("And", const("x"), const("y"))
-        before = PROFILE.oracle_calls
-        kept = check.filter([left, right, other])  # raises on disagreement
-        assert len(kept) == 2
-        assert PROFILE.oracle_calls > before
+        forms = [left, right, other]
+        kept = AssociativityCheck().filter(forms)
+        assert kept == [left, other]
+        assert [id(f) for f in filter_vf2(forms)] == [id(f) for f in kept]
+
+    @pytest.mark.parametrize("protocol", ["ICMP", "IGMP", "NTP", "BFD"])
+    def test_corpus_agrees_with_vf2(self, protocol):
+        from vf2_associativity import filter_vf2
+
+        from repro.rfc.registry import ProtocolRegistry
+
+        registry = ProtocolRegistry()
+        chunker = registry.chunker()
+        parser = registry.parser()
+        suite = CheckSuite.default()
+        earlier = suite.in_order()[:-1]
+        check = suite.associativity
+        compared = collapsed = 0
+        for spec in registry.load_corpus(protocol).sentences:
+            base = parser.parse(chunker.chunk_text(spec.text)).logical_forms
+            current = list(base)
+            for step in earlier:  # winnow()'s non-annihilating order
+                current = step.filter(current) or current
+            for forms in (base, current):
+                if len(forms) <= 1:
+                    continue
+                kept = check.filter(forms)
+                assert ([id(f) for f in kept]
+                        == [id(f) for f in filter_vf2(forms)]), spec.text
+                compared += 1
+                collapsed += len(kept) < len(forms)
+        assert compared > 0
+        if protocol == "ICMP":
+            assert collapsed > 0  # real regroupings, not just singletons
 
 
 class TestWinnowDriver:

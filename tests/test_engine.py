@@ -1,9 +1,9 @@
-"""The staged engine: stage contracts, parse caching, facade parity, fan-out."""
+"""The staged engine: stage contracts, parse caching, fan-out."""
 
 import pytest
 
 from repro.ccg.lexicon import build_lexicon
-from repro.core import Sage, SageEngine, role_of
+from repro.core import SageEngine, role_of
 from repro.core.stages import ParseStage
 from repro.nlp.chunker import ChunkerConfig, NounPhraseChunker
 from repro.nlp.tokenizer import KIND_NOUN_PHRASE, Token
@@ -11,7 +11,6 @@ from repro.rfc.corpus import Rewrite, SpecSentence, sentence_key
 from repro.rfc.registry import ParseCache, ProtocolRegistry, default_registry
 
 ALL_PROTOCOLS = ("ICMP", "IGMP", "NTP", "BFD")
-BOTH_MODES = ("strict", "revised")
 
 
 def run_fingerprint(run):
@@ -28,52 +27,14 @@ def run_fingerprint(run):
     )
 
 
-# -- facade / engine parity (the tentpole's compatibility guarantee) -----------
+# -- engine construction ---------------------------------------------------------
 
 class TestFacadeParity:
-    @pytest.mark.parametrize("protocol", ALL_PROTOCOLS)
-    @pytest.mark.parametrize("mode", BOTH_MODES)
-    def test_sage_and_engine_identical(self, protocol, mode):
-        facade_run = Sage(mode=mode).process_corpus(protocol)
-        engine_run = SageEngine(mode=mode).process_corpus(protocol)
-        assert run_fingerprint(facade_run) == run_fingerprint(engine_run)
-
-    def test_facade_exposes_engine_and_substrate(self):
-        sage = Sage(mode="strict")
-        assert sage.mode == "strict"
-        assert sage.engine.mode == "strict"
-        assert sage.lexicon is sage.engine.lexicon
-        assert sage.parser is sage.engine.parser
-        assert sage.chunker is sage.engine.chunker
-        assert sage.suite is sage.engine.suite
-        assert sage.registry is sage.engine.generate_stage.handlers
+    """Construction contracts of :class:`SageEngine` and its stages."""
 
     def test_engine_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             SageEngine(mode="lenient")
-
-    def test_facade_attributes_stay_writable(self):
-        # Pre-engine these were plain instance attributes; assignment must
-        # keep working through the facade.
-        sage = Sage(mode="strict")
-        sage.mode = "revised"
-        assert sage.engine.mode == "revised"
-        with pytest.raises(ValueError):
-            sage.mode = "lenient"
-        sage.rewrites = {}
-        assert sage.engine.rewrites == {}
-        from repro.disambiguation.checks import CheckSuite
-
-        suite = CheckSuite.default()
-        sage.suite = suite
-        assert sage.engine.winnow_stage.suite is suite
-        chunker = NounPhraseChunker()
-        sage.chunker = chunker
-        assert sage.engine.chunker is chunker
-        lexicon = build_lexicon()
-        sage.lexicon = lexicon
-        assert sage.lexicon is lexicon
-        assert sage.parser.lexicon is lexicon
 
     def test_generate_stage_rejects_conflicting_args(self):
         from repro.codegen.context import ContextResolver

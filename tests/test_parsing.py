@@ -725,15 +725,24 @@ class TestProfileCounters:
         tokens = chunker.chunk_text(self.SENTENCE)
         parser = IndexedChartParser(registry.lexicon())
         warm = parser.parse_forest(tokens)  # warm every memo
+        from repro.parsing import indexed, values
+
+        tables = (indexed._SPAN_MEMO, indexed._LEXICAL_CACHE,
+                  indexed._PRODUCTION_MEMO, values._SID_APPLY_MEMO,
+                  values._SID_GROUNDED)
+        assert all(tables)
         reset_parser_state()
+        assert not any(tables)  # every memo a parse warms, cleared in place
         before = PROFILE.counts()
         cold = parser.parse_forest(tokens)
         delta = profile_delta(before, PROFILE.counts())
-        # A genuinely cold parse: nothing answered from the span memo,
-        # every combined span paid for fresh — and the output is
-        # unaffected by the reset (sids survive; only memos dropped).
+        # A genuinely cold parse: nothing answered from the span memo or
+        # the lexical cache, every combined span paid for fresh — and the
+        # output is unaffected by the reset (sids survive; only memos
+        # dropped).
         assert delta["span_memo_hits"] == 0
         assert delta["span_memo_misses"] == delta["agenda_pops"] > 0
+        assert delta["lexical_cache_hits"] == 0
         assert _result_fingerprint(cold.to_result()) == _result_fingerprint(
             warm.to_result()
         )

@@ -388,3 +388,71 @@ class TestConcurrentSharedStore:
             assert aggregate["parse_cache"]["disk_hits"] > 0
         finally:
             handle.stop()
+
+
+def _children(pid: int) -> list[int]:
+    """Pids whose parent is ``pid``, read from ``/proc``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue  # exited while we scanned
+        # Fields after the parenthesised command: state, ppid, ...
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads worker pids from /proc")
+class TestServeShutdown:
+    def test_sigterm_stops_the_pool_workers(self):
+        """``kill <server pid>`` must take the fork workers down with the
+        server, not leave them reparented to init."""
+        import signal
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.join(os.path.dirname(__file__), "..", "src"),
+                          env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env)
+        workers: list[int] = []
+        try:
+            banner = proc.stdout.readline()
+            assert "serving on" in banner, banner
+            workers = _children(proc.pid)
+            assert len(workers) == 2, workers
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 20
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not [pid for pid in workers if _running(pid)]
+            assert proc.returncode == 0  # the SIGINT exit path
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.stdout.close()
